@@ -95,13 +95,8 @@ type state struct {
 	frontier     []int32
 	touchedWords []int32 // merged per-worker touched-word lists (enqueue scratch)
 	scratch      []workerScratch
-	// td is sliced per worker inside topDownGroup (the annotated owner);
-	// worker w touches only td[w], so the slots need no synchronization
-	// beyond the pool's fork/join barrier.
-	//
-	//wikisearch:singlewriter
-	td    []tdScratch // per-worker top-down buffers (see tdScratch)
-	level int
+	td           tdStage // top-down scratch: per-worker buffers and candidates
+	level        int
 
 	// localN windows the kernel onto a shard: local node ids below localN
 	// are owned, ids at or above are ghost copies of remote nodes. A hit

@@ -62,6 +62,8 @@ type dynState struct {
 	centrals  []graph.NodeID
 	level     int
 
+	td tdStage // top-down scratch, as in CPU-Par
+
 	prof Profile
 }
 
@@ -228,30 +230,26 @@ func (s *dynState) bottomUp() (int, error) {
 }
 
 // recover rebuilds the Central Graph at vc from the recorded parents — a
-// walk over stored paths rather than a re-traversal of the data graph.
-func (s *dynState) recover(vc graph.NodeID) *extraction {
+// walk over stored paths rather than a re-traversal of the data graph. The
+// returned extraction lives in sc and is valid until sc's next use.
+func (s *dynState) recover(sc *tdScratch, vc graph.NodeID) *extraction {
 	q := len(s.in.Sources)
-	ex := &extraction{
-		central:   vc,
-		onPaths:   map[graph.NodeID]uint64{vc: allMask(q)},
-		order:     []graph.NodeID{vc},
-		edgeIndex: map[edgeKey]int{},
-	}
-	depth := 0
+	ex := &sc.ex
+	ex.reset(vc, allMask(q))
 	for i := 0; i < q; i++ {
-		if h, ok := s.hitLevel(vc, i); ok && int(h) > depth {
-			depth = int(h)
+		if h, ok := s.hitLevel(vc, i); ok && int(h) > ex.depth {
+			ex.depth = int(h)
 		}
 	}
-	ex.depth = depth
-	work := []workItem{{vc, allMask(q)}}
+	work := append(sc.work[:0], workItem{vc, allMask(q)})
 	for len(work) > 0 {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
 		vf := it.node
 		nd := &s.nodes[vf]
 		for i := 0; i < q; i++ {
-			if it.bits&(1<<uint(i)) == 0 {
+			bit := uint64(1) << uint(i)
+			if it.bits&bit == 0 {
 				continue
 			}
 			nd.mu.Lock()
@@ -261,24 +259,15 @@ func (s *dynState) recover(vc graph.NodeID) *extraction {
 			}
 			nd.mu.Unlock()
 			for _, p := range parents {
-				ex.addEdge(p.node, vf, p.rel, p.forward, uint64(1)<<uint(i))
-				prev, known := ex.onPaths[p.node]
-				fresh := (uint64(1) << uint(i)) &^ prev
-				if fresh == 0 {
-					continue
+				ex.addEdge(p.node, vf, p.rel, p.forward, bit)
+				if fresh := ex.join(p.node, bit, s.p.MaxGraphNodes); fresh != 0 {
+					work = append(work, workItem{p.node, fresh})
 				}
-				if !known {
-					if len(ex.order) >= s.p.MaxGraphNodes {
-						ex.truncated = true
-						continue
-					}
-					ex.order = append(ex.order, p.node)
-				}
-				ex.onPaths[p.node] = prev | fresh
-				work = append(work, workItem{p.node, fresh})
 			}
 		}
 	}
+	sc.work = work[:0]
+	ex.finish()
 	return ex
 }
 
@@ -286,7 +275,7 @@ func (s *dynState) env() *assembleEnv {
 	q := len(s.in.Sources)
 	return &assembleEnv{
 		q:            q,
-		contains:     func(v graph.NodeID) uint64 { return s.contains[v] },
+		keywords:     s.contains,
 		weights:      s.in.Weights,
 		lambda:       s.p.Lambda,
 		noLevelCover: s.p.DisableLevelCover,
@@ -303,20 +292,7 @@ func (s *dynState) env() *assembleEnv {
 }
 
 func (s *dynState) topDown() ([]*Answer, error) {
-	env := s.env()
-	td := make([]tdScratch, s.pool.Workers())
-	cands := make([]*candidate, len(s.centrals))
-	s.pool.ForWorker(len(s.centrals), func(w, i int) {
-		if cancelled(s.p) != nil {
-			return
-		}
-		ex := s.recover(s.centrals[i])
-		cands[i] = env.assemble(ex, i, &td[w])
-	})
-	if err := cancelled(s.p); err != nil {
-		return nil, err
-	}
-	return selectTopK(cands, s.p.TopK), nil
+	return s.td.run(s.pool, s.p, s.centrals, s.p.TopK, s.env(), s.recover)
 }
 
 // SearchDynamic runs the CPU-Par-d variant of the two-stage algorithm.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -362,28 +363,29 @@ func TestLevelCoverFig5(t *testing.T) {
 // TestSupersetAnswersRemoved: an answer whose node set strictly contains a
 // better-ranked answer's node set is dropped from the top-k.
 func TestSupersetAnswersRemoved(t *testing.T) {
-	cands := []*candidate{
-		mkCand(0, 1.0, []graph.NodeID{1, 2, 3}, 0),
-		mkCand(1, 2.0, []graph.NodeID{1, 2, 3, 4, 5}, 1), // superset of first
-		mkCand(2, 3.0, []graph.NodeID{6, 7}, 2),
+	cands := []candidate{
+		mkCand(1.0, []graph.NodeID{1, 2, 3}, 0),
+		mkCand(2.0, []graph.NodeID{1, 2, 3, 4, 5}, 1), // superset of first
+		mkCand(3.0, []graph.NodeID{6, 7}, 2),
 	}
-	out := selectTopK(cands, 10)
+	out := selectTopK(nil, cands, 10, nil)
 	if len(out) != 2 {
 		t.Fatalf("kept %d answers, want 2", len(out))
 	}
-	if out[0].Central != 0 || out[1].Central != 2 {
-		t.Fatalf("kept centrals %d,%d", out[0].Central, out[1].Central)
+	if out[0].rank != 0 || out[1].rank != 2 {
+		t.Fatalf("kept ranks %d,%d", out[0].rank, out[1].rank)
 	}
 }
 
 // TestSelectTopKProperties: on random candidate pools, selection (a) never
 // exceeds k, (b) is sorted by score, (c) never keeps a strict superset of
-// an earlier (better) answer, (d) drops non-covering candidates and nils.
+// an earlier (better) answer, (d) drops non-covering candidates and
+// cancelled (zero) slots.
 func TestSelectTopKProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(20)
-		cands := make([]*candidate, 0, n+1)
+		cands := make([]candidate, 0, n+1)
 		for i := 0; i < n; i++ {
 			size := 1 + rng.Intn(5)
 			seen := map[graph.NodeID]bool{}
@@ -395,33 +397,36 @@ func TestSelectTopKProperties(t *testing.T) {
 					ids = append(ids, v)
 				}
 			}
-			c := mkCand(graph.NodeID(i), float64(rng.Intn(6)), ids, i)
+			c := mkCand(float64(rng.Intn(6)), ids, i)
 			c.covers = rng.Intn(5) > 0
 			cands = append(cands, c)
 		}
-		cands = append(cands, nil) // cancelled extraction slot
+		cands = append(cands, candidate{}) // cancelled extraction slot
 		k := 1 + rng.Intn(6)
-		out := selectTopK(cands, k)
+		out := selectTopK(nil, cands, k, nil)
 		if len(out) > k {
 			t.Fatalf("trial %d: %d answers > k=%d", trial, len(out), k)
 		}
-		for i := 1; i < len(out); i++ {
-			if out[i].Score < out[i-1].Score {
+		for i, a := range out {
+			if !a.covers {
+				t.Fatalf("trial %d: kept a non-covering candidate", trial)
+			}
+			if i > 0 && a.score < out[i-1].score {
 				t.Fatalf("trial %d: scores not ascending", trial)
 			}
 		}
 		for i, a := range out {
 			aset := map[graph.NodeID]bool{}
-			for _, v := range a.NodeIDs() {
+			for _, v := range a.ids {
 				aset[v] = true
 			}
 			for j := 0; j < i; j++ {
 				b := out[j]
-				if len(b.Nodes) >= len(a.Nodes) {
+				if len(b.ids) >= len(a.ids) {
 					continue
 				}
 				subset := true
-				for _, v := range b.NodeIDs() {
+				for _, v := range b.ids {
 					if !aset[v] {
 						subset = false
 						break
@@ -435,17 +440,9 @@ func TestSelectTopKProperties(t *testing.T) {
 	}
 }
 
-func mkCand(central graph.NodeID, score float64, ids []graph.NodeID, rank int) *candidate {
-	set := map[graph.NodeID]struct{}{}
-	var nodes []AnswerNode
-	for _, id := range ids {
-		set[id] = struct{}{}
-		nodes = append(nodes, AnswerNode{ID: id, Contains: 1})
-	}
-	return &candidate{
-		answer:  &Answer{Central: central, Score: score, Nodes: nodes, Depth: 1},
-		nodeSet: set,
-		covers:  true,
-		rank:    rank,
-	}
+// mkCand builds a covering depth-1 candidate over the given node ids.
+func mkCand(score float64, ids []graph.NodeID, rank int) candidate {
+	set := slices.Clone(ids)
+	slices.Sort(set)
+	return candidate{score: score, depth: 1, rank: rank, covers: true, ids: set}
 }

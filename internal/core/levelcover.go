@@ -7,9 +7,17 @@ import (
 	"wikisearch/internal/graph"
 )
 
+// kwPos is a keyword node, by extraction position, with its containment
+// mask: the unit the level-cover strategy classifies.
+type kwPos struct {
+	pos  int32
+	mask uint64
+}
+
 // levelCover applies the keyword-co-occurrence level-cover strategy (§V-C)
-// to an extracted Central Graph and returns the kept nodes in extraction
-// order. The returned slice lives in sc and is valid until sc's next use.
+// to a finished extraction and returns the kept nodes in extraction order;
+// sc.keep[i] tells whether ex.order[i] was kept. Both live in sc and are
+// valid until sc's next use.
 //
 // Keyword nodes are classified into levels by the number of query keywords
 // they contain; the Central Node is always at the top. Walking levels from
@@ -25,29 +33,25 @@ func (env *assembleEnv) levelCover(ex *extraction, sc *tdScratch) []graph.NodeID
 	all := allMask(env.q)
 
 	// Classify keyword nodes (nodes containing ≥1 query keyword) by
-	// containment count. The central node seeds coverage unconditionally.
+	// containment count. The central node (position 0) seeds coverage
+	// unconditionally.
 	covered := env.contains(ex.central)
 	kws := sc.kws[:0]
-	for _, v := range ex.order {
-		if v == ex.central {
-			continue
-		}
+	for i, v := range ex.order[1:] {
 		if m := env.contains(v); m != 0 {
-			kws = append(kws, kwNode{v, m})
+			kws = append(kws, kwPos{int32(i + 1), m})
 		}
 	}
 	sc.kws = kws
-	slices.SortStableFunc(kws, func(a, b kwNode) int {
+	slices.SortStableFunc(kws, func(a, b kwPos) int {
 		return bits.OnesCount64(b.mask) - bits.OnesCount64(a.mask)
 	})
 
-	keptKw := sc.keptKw
-	if keptKw == nil {
-		keptKw = map[graph.NodeID]struct{}{}
-		sc.keptKw = keptKw
-	} else {
-		clear(keptKw)
-	}
+	keep := sc.keep[:0]
+	keep = append(keep, make([]bool, len(ex.order))...)
+	sc.keep = keep
+	keep[0] = true
+	queue := append(sc.queue[:0], 0)
 	for lo := 0; lo < len(kws); {
 		cnt := bits.OnesCount64(kws[lo].mask)
 		hi := lo
@@ -60,7 +64,8 @@ func (env *assembleEnv) levelCover(ex *extraction, sc *tdScratch) []graph.NodeID
 		levelCoverage := covered
 		for _, kn := range kws[lo:hi] {
 			if kn.mask&^covered != 0 { // contributes an uncovered keyword
-				keptKw[kn.v] = struct{}{}
+				keep[kn.pos] = true
+				queue = append(queue, kn.pos)
 				levelCoverage |= kn.mask
 			}
 		}
@@ -70,43 +75,27 @@ func (env *assembleEnv) levelCover(ex *extraction, sc *tdScratch) []graph.NodeID
 
 	// Keep path nodes reachable from kept keyword nodes (and the central
 	// node) along expansion edges — everything else served only pruned
-	// keyword nodes. Extractions are small, so the BFS rescans the edge
-	// list per popped node instead of building an adjacency map.
-	kept := sc.kept
-	if kept == nil {
-		kept = map[graph.NodeID]struct{}{}
-		sc.kept = kept
-	} else {
-		clear(kept)
-	}
-	kept[ex.central] = struct{}{}
-	queue := append(sc.covOut[:0], ex.central)
-	for v := range keptKw {
-		if _, ok := kept[v]; !ok {
-			kept[v] = struct{}{}
-			queue = append(queue, v)
-		}
-	}
+	// keyword nodes. The edges are sorted by From, so each popped node
+	// walks only its own run of out-steps. Every step's To was popped
+	// from the extraction worklist, so it has a position.
 	for len(queue) > 0 {
-		v := queue[len(queue)-1]
+		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, e := range ex.edges {
-			if e.From != v {
-				continue
-			}
-			if _, ok := kept[e.To]; !ok {
-				kept[e.To] = struct{}{}
-				queue = append(queue, e.To)
+		for _, e := range ex.edgesFrom(ex.order[p]) {
+			if t, _ := ex.pos.get(e.To); !keep[t] {
+				keep[t] = true
+				queue = append(queue, t)
 			}
 		}
 	}
+	sc.queue = queue
 
-	out := queue[:0] // reuse the drained queue's backing array
-	for _, v := range ex.order {
-		if _, ok := kept[v]; ok {
+	out := sc.kept[:0]
+	for i, v := range ex.order {
+		if keep[i] {
 			out = append(out, v)
 		}
 	}
-	sc.covOut = out
+	sc.kept = out
 	return out
 }

@@ -12,10 +12,13 @@ import (
 // arrays, frontier buffers, per-worker scratch, and a persistent worker
 // pool. A state is reused across queries: after the first few searches warm
 // its buffers to the graph's size, the bottom-up stage runs without
-// allocating at all (the top-down stage still allocates the answers it
-// returns). A SearchState is not safe for concurrent use; serve concurrent
-// queries from a pool of states (see the engine's sync.Pool). A SearchState
-// must not be copied: a copy aliases the owned search structures.
+// allocating at all, and the top-down stage allocates only the k answers
+// it returns plus a constant few objects per search, never one per
+// candidate: extraction, level cover and scoring run on per-worker scratch
+// sized by the largest extraction. A SearchState is not safe for
+// concurrent use; serve concurrent queries from a pool of states (see the
+// engine's sync.Pool). A SearchState must not be copied: a copy aliases
+// the owned search structures.
 //
 //wikisearch:nocopy
 type SearchState struct {

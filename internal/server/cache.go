@@ -49,6 +49,7 @@ type cacheEntry struct {
 // requests wait on instead of duplicating the work.
 type inflightCall struct {
 	done chan struct{} // closed when res/err are set
+	gen  uint64        // cache generation the call was registered in
 	res  *wikisearch.Result
 	err  error
 }
@@ -57,10 +58,16 @@ type inflightCall struct {
 // deduplication: at most one engine search runs per key at a time, and
 // results are shared. Search results are immutable once returned, so
 // sharing the *Result across requests is safe.
+//
+// gen counts purges. A call records the generation it was registered in
+// and stores its result only if no purge ran meanwhile: a search that
+// started against the graph as it was before a publish must not be served
+// as a hit afterwards.
 type resultCache struct {
 	max int
 
 	mu    sync.Mutex
+	gen   uint64
 	ll    *list.List // front = most recently used
 	items map[cacheKey]*list.Element
 	calls map[cacheKey]*inflightCall
@@ -113,15 +120,17 @@ func (c *resultCache) do(ctx context.Context, key cacheKey, fn func() (*wikisear
 				return nil, false, ctx.Err()
 			}
 		}
-		call := &inflightCall{done: make(chan struct{})}
+		call := &inflightCall{done: make(chan struct{}), gen: c.gen}
 		c.calls[key] = call
 		c.mu.Unlock()
 
 		call.res, call.err = fn()
 
 		c.mu.Lock()
-		delete(c.calls, key)
-		if call.err == nil {
+		if c.calls[key] == call { // a purge may have detached it
+			delete(c.calls, key)
+		}
+		if call.err == nil && call.gen == c.gen {
 			c.store(key, call.res)
 		}
 		c.mu.Unlock()
@@ -165,10 +174,16 @@ func (c *resultCache) len() int {
 	return c.ll.Len()
 }
 
-// purge drops every cached entry (in-flight searches are unaffected).
+// purge drops every cached entry and starts a new generation. In-flight
+// searches run on, and their existing waiters still get their result, but
+// they are detached: a request arriving after the purge starts its own
+// search instead of joining one that may have read the old graph, and the
+// detached results are never stored.
 func (c *resultCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen++
 	c.ll.Init()
 	c.items = map[cacheKey]*list.Element{}
+	c.calls = map[cacheKey]*inflightCall{}
 }

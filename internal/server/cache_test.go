@@ -247,3 +247,73 @@ func TestSingleflightNoStampedeAfterLeaderCancel(t *testing.T) {
 		t.Fatalf("fn ran %d times, want 2 (stampede)", n)
 	}
 }
+
+// TestCachePurgeDropsInflightResult: a search that started before a purge
+// and finishes after it must not be stored, so the next request misses
+// instead of being served the graph as it was before the publish.
+func TestCachePurgeDropsInflightResult(t *testing.T) {
+	c := newResultCache(4)
+	stale := &wikisearch.Result{Candidates: 1}
+	gate := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		got, hit, err := c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+			<-gate
+			return stale, nil
+		})
+		if err != nil || hit || got != stale {
+			t.Errorf("leader: res %p hit %v err %v", got, hit, err)
+		}
+	}()
+	waitForWaiter(t, c, key("q"))
+	c.purge()
+	close(gate)
+	<-leaderDone
+
+	fresh := &wikisearch.Result{Candidates: 2}
+	got, hit, err := c.do(context.Background(), key("q"), fixed(fresh))
+	if err != nil || hit || got != fresh {
+		t.Fatalf("after purge: res %p hit %v err %v, want a miss computing %p", got, hit, err, fresh)
+	}
+}
+
+// TestCachePurgeDetachesInflight: a request that arrives after a purge
+// runs its own search rather than joining a flight registered before the
+// purge, and the late pre-purge result does not overwrite its entry.
+func TestCachePurgeDetachesInflight(t *testing.T) {
+	c := newResultCache(4)
+	stale := &wikisearch.Result{Candidates: 1}
+	gate := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+			<-gate
+			return stale, nil
+		})
+	}()
+	waitForWaiter(t, c, key("q"))
+	c.purge()
+
+	// The old leader is still blocked: joining its flight would wait on
+	// gate until this context expires.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	fresh := &wikisearch.Result{Candidates: 2}
+	got, hit, err := c.do(ctx, key("q"), fixed(fresh))
+	if err != nil || hit || got != fresh {
+		t.Fatalf("post-purge request: res %p hit %v err %v, want its own search", got, hit, err)
+	}
+	close(gate)
+	<-leaderDone
+	if got, ok := c.get(key("q")); !ok || got != fresh {
+		t.Fatalf("cached %p after the pre-purge flight ended, want %p", got, fresh)
+	}
+	c.mu.Lock()
+	n := len(c.calls)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d in-flight calls left registered", n)
+	}
+}
