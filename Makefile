@@ -36,23 +36,18 @@ race:
 # detector's instrumentation would break, so they skip under -race and run
 # here without it.
 allocguard:
-	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/parallel ./internal/trace ./internal/shard
+	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/parallel ./internal/trace
 
 # A short coverage-guided fuzz pass over every dump decoder generation
 # (v1/v2 streams, v3 mmap images): corrupt dumps must never panic or
-# over-allocate. A second pass round-trips random partitions through the
-# per-shard segment format: reload must reconstruct the exact original CSR.
-# (go test accepts one -fuzz pattern per invocation, hence two lines.)
-# The full corpus lives under testdata/fuzz via go test.
+# over-allocate. The full corpus lives under testdata/fuzz via go test.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadDump -fuzztime=20s ./internal/storage
-	$(GO) test -run=^$$ -fuzz=FuzzPartitionRoundTrip -fuzztime=20s ./internal/storage
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 	$(GO) run ./cmd/benchrunner -exp core -core-out BENCH_core.json
 	$(GO) run ./cmd/benchrunner -exp startup -startup-out BENCH_startup.json
-	$(GO) run ./cmd/benchrunner -exp shard -shard-out BENCH_shard.json
 
 fmt:
 	gofmt -l -w .

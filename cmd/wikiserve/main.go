@@ -38,10 +38,8 @@ func main() {
 		batchCols = flag.Int("batch-columns", 8, "max keyword columns per batch")
 		slowQuery = flag.Duration("slow-query", 500*time.Millisecond,
 			"searches slower than this get a structured slow-query log line and land in the /v1/debug/traces slow ring (<=0 disables)")
-		shards = flag.Int("shards", 0,
-			"partition the graph into N edge-cut shards and serve CPU-Par/Sequential searches on the in-process sharded runtime (<=1 disables)")
 		mutate = flag.Bool("mutate", false,
-			"accept live graph mutations via POST /v1/mutate (single-writer, epoch-snapshotted; mutually exclusive with -shards)")
+			"accept live graph mutations via POST /v1/mutate (single-writer, epoch-snapshotted)")
 		compactAfter = flag.Int("compact-after", 4096,
 			"delta size in mutation ops at which the background compactor folds the delta into a fresh base snapshot (<=0 disables auto-compaction; requires -mutate)")
 		debugAddr = flag.String("debug-addr", "",
@@ -63,15 +61,6 @@ func main() {
 	log.Printf("wikiserve: loaded %s in %v (format=v%d mode=%s mapped=%.1fMB file=%.1fMB)",
 		*kbPath, time.Since(t0).Round(time.Millisecond), info.Format, info.Mode,
 		float64(info.MappedBytes)/(1<<20), float64(info.FileBytes)/(1<<20))
-	if *shards > 1 {
-		t1 := time.Now()
-		if err := eng.EnableSharding(*shards); err != nil {
-			log.Fatal(err)
-		}
-		st, _ := eng.ShardStats()
-		log.Printf("wikiserve: partitioned into %d edge-cut shards in %v (%d cut edges)",
-			*shards, time.Since(t1).Round(time.Millisecond), st.CutEdges)
-	}
 	cfg := server.Config{
 		Timeout:      *timeout,
 		MaxInFlight:  *maxInFlight,

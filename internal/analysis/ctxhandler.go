@@ -10,10 +10,10 @@ import (
 // context-accepting code must pass a context derived from r.Context()
 // (possibly wrapped by context.WithTimeout and friends). Passing
 // context.Background(), context.TODO(), or calling a function annotated
-// //wikisearch:bgcontext (one that supplies its own background context,
-// like Engine.Search) detaches the work from the request: client
-// disconnects and middleware deadlines stop propagating — the exact bug
-// class fixed ad hoc in the server hardening PR.
+// //wikisearch:bgcontext (one that supplies its own background context)
+// detaches the work from the request: client disconnects and middleware
+// deadlines stop propagating — the exact bug class fixed ad hoc in the
+// server hardening PR.
 var CtxHandlerAnalyzer = &Analyzer{
 	Name: "ctxhandler",
 	Doc:  "HTTP handlers must thread the request context into engine calls",

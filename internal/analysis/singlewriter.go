@@ -7,13 +7,12 @@ import (
 )
 
 // SingleWriterAnalyzer encodes the per-worker buffer discipline the trace
-// rings, the shard frontier-exchange route buffers and the top-down scratch
-// rely on: a field annotated //wikisearch:singlewriter is written by exactly
-// one goroutine (the owning worker) without synchronization, and readers
-// only see it through an explicit publish/drain point. The race detector
-// cannot prove this at test scale — a wrong-shard buffer write is a latent
-// corruption, not a reproducible race — so the ownership is checked
-// lexically:
+// rings and the top-down scratch rely on: a field annotated
+// //wikisearch:singlewriter is written by exactly one goroutine (the owning
+// worker) without synchronization, and readers only see it through an
+// explicit publish/drain point. The race detector cannot prove this at test
+// scale — a write into another worker's buffer is a latent corruption, not a
+// reproducible race — so the ownership is checked lexically:
 //
 //   - functions annotated //wikisearch:writer are the owning writer; they
 //     may read and write the field freely;

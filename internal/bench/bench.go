@@ -144,10 +144,13 @@ func (e *Env) measure(variant string, queries []string, topk int, alpha float64,
 	for _, q := range queries {
 		switch variant {
 		case VBanks:
-			res, err := e.Eng.SearchBANKS(q, topk, true, e.Cfg.BanksMaxVisits)
+			out, err := e.Eng.Search(context.Background(), wikisearch.Query{
+				Text: q, TopK: topk, Bidirectional: true, MaxVisits: e.Cfg.BanksMaxVisits, Variant: wikisearch.BANKS,
+			})
 			if err != nil {
 				return r, err
 			}
+			res := out.Banks
 			ms := float64(res.Elapsed) / float64(time.Millisecond)
 			r.TotalMs += ms
 			r.Answers += float64(len(res.Trees))

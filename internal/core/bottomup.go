@@ -14,17 +14,15 @@ import (
 // workerScratch is one worker's private expansion scratch: the frontier
 // node's matrix row snapshot, the list of FIdentifier words this worker
 // dirtied first (so the enqueue step visits only touched words instead of
-// scanning the whole bitset), the boundary activations the worker produced
-// for remote shards (sharded states only), and the worker's edge-scan tally.
-// The trailing pad keeps adjacent workers' hot fields off a shared cache
-// line. A workerScratch must not be copied: a copy aliases the row, touched
-// and out buffers.
+// scanning the whole bitset), and the worker's edge-scan tally. The
+// trailing pad keeps adjacent workers' hot fields off a shared cache line.
+// A workerScratch must not be copied: a copy aliases the row and touched
+// buffers.
 //
 //wikisearch:nocopy
 type workerScratch struct {
 	row     []uint8
 	touched []int32
-	out     []BoundaryMsg
 	edges   int64
 	_       [64]byte
 }
@@ -98,15 +96,6 @@ type state struct {
 	td           tdStage // top-down scratch: per-worker buffers and candidates
 	level        int
 
-	// localN windows the kernel onto a shard: local node ids below localN
-	// are owned, ids at or above are ghost copies of remote nodes. A hit
-	// ghost is not enqueued — its activation is batched into the worker's
-	// out buffer under its local id (the coordinator's precomputed ghost
-	// tables translate to owner shard and remote local id, so the kernel
-	// never probes a full-graph array). Solo states set localN = n, so the
-	// ghost comparison is a single never-taken branch.
-	localN int
-
 	// Flattened batch input buffers, reused across batches so the warm
 	// batched path stays allocation-free.
 	batchTerms   []string
@@ -139,7 +128,6 @@ func (s *state) prepareShared(in Input, p Params, pool *parallel.Pool) {
 	s.in, s.p, s.pool = in, p, pool
 	s.level = 0
 	s.prof = Profile{}
-	s.localN = n
 	if s.m == nil {
 		s.m = NewMatrix(n, q)
 	} else {
@@ -150,12 +138,10 @@ func (s *state) prepareShared(in Input, p Params, pool *parallel.Pool) {
 	} else {
 		s.fid.Resize(n)
 	}
-	if cap(s.contains) < n {
-		s.contains = make([]uint64, n)
-	} else {
-		s.contains = s.contains[:n]
-		clear(s.contains)
-	}
+	// Per-node buffers grow like append, with headroom, so a graph that
+	// gains nodes under live mutation does not reallocate them per publish.
+	s.contains = slices.Grow(s.contains[:0], n)[:n]
+	clear(s.contains)
 	s.frontier = s.frontier[:0]
 	s.touchedWords = s.touchedWords[:0]
 	w := pool.Workers()
@@ -169,7 +155,6 @@ func (s *state) prepareShared(in Input, p Params, pool *parallel.Pool) {
 			s.scratch[i].row = make([]uint8, MaxKeywords)
 		}
 		s.scratch[i].touched = s.scratch[i].touched[:0]
-		s.scratch[i].out = s.scratch[i].out[:0]
 		s.scratch[i].edges = 0
 	}
 	if s.initFn == nil {
@@ -194,11 +179,7 @@ func (s *state) resetGroupRuntime(n int) {
 		gr.done = false
 		gr.depth = 0
 		gr.front = 0
-		if cap(gr.centralAt) < n {
-			gr.centralAt = make([]int32, n)
-		} else {
-			gr.centralAt = gr.centralAt[:n]
-		}
+		gr.centralAt = slices.Grow(gr.centralAt[:0], n)[:n]
 		for i := range gr.centralAt {
 			gr.centralAt[i] = -1
 		}
@@ -276,9 +257,6 @@ func (s *state) initKeyword(w, i int) {
 	}
 	for _, v := range s.in.Sources[i] {
 		s.m.MarkHit(v, i, 0)
-		if int(v) >= s.localN {
-			continue // ghost source: the owner shard enqueues its copy
-		}
 		s.markFrontier(sc, v)
 	}
 }
@@ -651,10 +629,6 @@ func (s *state) visitOne(sc *workerScratch, vn graph.NodeID, i, l int) (retry bo
 		return true
 	}
 	s.m.MarkHit(vn, i, uint8(l+1))
-	if int(vn) >= s.localN {
-		sc.out = append(sc.out, BoundaryMsg{Node: vn, Cols: 1 << uint(i)})
-		return false
-	}
 	s.markFrontier(sc, vn)
 	return false
 }
@@ -689,10 +663,6 @@ func (s *state) visitTodo(sc *workerScratch, vn graph.NodeID, todo uint64, l int
 		for m := todo; m != 0; m &= m - 1 {
 			s.m.MarkHit(vn, bits.TrailingZeros64(m), hit)
 		}
-	}
-	if int(vn) >= s.localN {
-		sc.out = append(sc.out, BoundaryMsg{Node: vn, Cols: todo})
-		return false
 	}
 	s.markFrontier(sc, vn)
 	return false
@@ -771,10 +741,6 @@ func (s *state) expandRefChunk(w, start, end int) {
 					return
 				}
 				s.m.MarkHit(vn, i, uint8(l+1))
-				if int(vn) >= s.localN {
-					sc.out = append(sc.out, BoundaryMsg{Node: vn, Cols: 1 << uint(i)})
-					return
-				}
 				s.markFrontier(sc, vn)
 			})
 		}

@@ -37,8 +37,10 @@ type SearchState struct {
 func NewSearchState() *SearchState { return &SearchState{} }
 
 // Close releases the worker pool's goroutines. A dropped SearchState is
-// also cleaned up by the pool's finalizer, so sync.Pool eviction does not
-// leak goroutines; Close just makes teardown deterministic.
+// collected even though its pool points back into it (the pool records
+// into the state's trace buffer): the pool's cleanup then stops the
+// helpers, so sync.Pool eviction leaks neither the state's buffers nor
+// goroutines. Close just makes teardown deterministic.
 func (ss *SearchState) Close() {
 	if ss.pool != nil {
 		ss.pool.Close()

@@ -3,7 +3,12 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
+	"weak"
+
+	"wikisearch/internal/graph"
 )
 
 // TestKernelsEquivalent: the flattened expansion kernel and the per-column
@@ -135,4 +140,79 @@ func TestSearchStateClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultsEqual(t, "after close", want, got)
+}
+
+// TestDroppedSearchStateCollected: a state dropped without Close — what the
+// engine's sync.Pool does on eviction — is garbage collected and its pool's
+// helper goroutines exit, even though the pool records into the state's own
+// trace buffer and so forms a reference cycle with it.
+func TestDroppedSearchStateCollected(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	ref, helpers := dropStartedState(t)
+	if helpers <= base {
+		t.Fatalf("pool never started helpers (%d goroutines, baseline %d)", helpers, base)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for ref.Value() != nil || runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("dropped state collected=%v, goroutines %d (baseline %d)",
+				ref.Value() == nil, runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// dropStartedState runs one multi-worker search on a fresh state and drops
+// it, returning only a weak reference plus the goroutine count while its
+// helpers were parked.
+func dropStartedState(t *testing.T) (weak.Pointer[SearchState], int) {
+	ss := NewSearchState()
+	ss.ensurePool(4)
+	ss.pool.For(1024, func(int) {})
+	in, p := randomScenario(t, 11)
+	p.Threads = 4
+	if _, err := ss.Search(in, p); err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(ss), runtime.NumGoroutine()
+}
+
+// TestGrowingGraphAllocationFree: a warm state serving a graph that gains one
+// node per query — what live mutation does on every publish — re-dimensions
+// without allocating once its per-node buffers have grown with headroom.
+func TestGrowingGraphAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	in, p := randomScenario(t, 7)
+	db := graph.NewDeltaBuilder(in.G)
+	inputs := []Input{in}
+	for i := 0; i < 12; i++ {
+		db.AddNode(fmt.Sprintf("added%d", i), "")
+		grown := in
+		grown.G = db.Overlay()
+		grown.Levels = append(slices.Clone(in.Levels), make([]uint8, i+1)...)
+		grown.Weights = append(slices.Clone(in.Weights), make([]float64, i+1)...)
+		inputs = append(inputs, grown)
+	}
+	ss := NewSearchState()
+	defer ss.Close()
+	// Warm on the base graph, then on the first growth step.
+	for _, in := range inputs[:2] {
+		if _, err := ss.BottomUp(in, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 2
+	allocs := testing.AllocsPerRun(len(inputs)-next-1, func() {
+		if _, err := ss.BottomUp(inputs[next], p); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("bottom-up on a graph grown by one node allocates %.1f times per query, want 0", allocs)
+	}
 }

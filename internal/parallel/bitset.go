@@ -13,6 +13,7 @@ package parallel
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -114,19 +115,15 @@ func (b *Bitset) Reset() {
 
 // Resize re-dimensions the set to hold n bits, all zero, reusing the backing
 // array when its capacity suffices (the per-query state pool relies on this
-// being allocation-free at steady state). Requires exclusive access.
+// being allocation-free at steady state). A backing array that must grow
+// grows like append, with headroom, so a graph that gains nodes under live
+// mutation does not reallocate on every publish. Requires exclusive access.
 //
 //wikisearch:exclusive callers hold the only reference during (re)init
 func (b *Bitset) Resize(n int) {
 	words := (n + wordBits - 1) / wordBits
-	if cap(b.words) < words {
-		b.words = make([]uint64, words)
-	} else {
-		b.words = b.words[:words]
-		for i := range b.words {
-			b.words[i] = 0
-		}
-	}
+	b.words = slices.Grow(b.words[:0], words)[:words]
+	clear(b.words)
 	b.n = n
 }
 

@@ -1,6 +1,9 @@
 package parallel
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // ByteArray is a byte slice with atomic element access, used for the
 // node-keyword matrix M (one byte per hitting level, 0xFF = ∞) and for the
@@ -152,17 +155,14 @@ func (a *ByteArray) Fill(v byte) {
 
 // Resize re-dimensions the array to n cells filled with fill, reusing the
 // backing storage when its capacity suffices (the per-query state pool
-// relies on this being allocation-free at steady state). Requires exclusive
-// access.
+// relies on this being allocation-free at steady state). Storage that must
+// grow grows like append, with headroom (see Bitset.Resize). Requires
+// exclusive access.
 //
 //wikisearch:exclusive callers hold the only reference during (re)init
 func (a *ByteArray) Resize(n int, fill byte) {
 	words := (n + 7) / 8
-	if cap(a.data) < words {
-		a.data = make([]uint64, words)
-	} else {
-		a.data = a.data[:words]
-	}
+	a.data = slices.Grow(a.data[:0], words)[:words]
 	a.n = n
 	a.Fill(fill)
 }

@@ -25,19 +25,21 @@ import (
 // lock-free expansion relies on: every helper's writes complete before its
 // completion token is received.
 //
-// Close releases the workers. It is optional — an unreachable Pool's workers
-// are reclaimed by a finalizer — but deterministic cleanup is preferred for
-// short-lived pools. A closed Pool degrades to serial execution rather than
-// failing.
+// Close releases the workers. It is optional — a cleanup attached when the
+// helpers start closes their channel once the Pool is unreachable, even when
+// the Pool sits in a reference cycle with its owner (a finalizer would never
+// run there) — but deterministic cleanup is preferred for short-lived pools.
+// A closed Pool degrades to serial execution rather than failing.
 type Pool struct {
 	workers int
 
 	mu      sync.Mutex // serializes phases; guards started/closed
 	started bool
 	closed  bool
-	work    chan *poolTask // parked helpers receive the phase descriptor
-	done    chan struct{}  // helpers send one token per processed descriptor
-	task    poolTask       // reused phase descriptor: no per-phase allocation
+	work    chan *poolTask  // parked helpers receive the phase descriptor
+	done    chan struct{}   // helpers send one token per processed descriptor
+	task    poolTask        // reused phase descriptor: no per-phase allocation
+	cleanup runtime.Cleanup // closes work once the Pool is unreachable
 
 	// tr, when set (SetTrace), receives per-phase spans: each helper records
 	// its busy time into its own ring, and the coordinator records its own
@@ -122,10 +124,10 @@ func (p *Pool) start() {
 	p.done = make(chan struct{}, p.workers-1)
 	for g := 1; g < p.workers; g++ {
 		// The helper closes over only the channels — never *Pool — so an
-		// unreachable Pool can be finalized while helpers are parked.
+		// unreachable Pool can be cleaned up while helpers are parked.
 		go poolWorker(g, p.work, p.done)
 	}
-	runtime.SetFinalizer(p, (*Pool).Close)
+	p.cleanup = runtime.AddCleanup(p, func(work chan *poolTask) { close(work) }, p.work)
 }
 
 // poolWorker parks on work and executes phase descriptors until the channel
@@ -156,8 +158,8 @@ func (p *Pool) Close() {
 	}
 	p.closed = true
 	if p.started {
+		p.cleanup.Stop()
 		close(p.work)
-		runtime.SetFinalizer(p, nil)
 	}
 }
 

@@ -124,10 +124,5 @@ func (s *Server) observeTrace(qt *wikisearch.QueryTrace) {
 		"identify_ms", ms(qt.PhaseNs(trace.KindIdentify)),
 		"expand_ms", ms(qt.PhaseNs(trace.KindExpand)),
 		"topdown_ms", ms(qt.PhaseNs(trace.KindTopDown)),
-		"shards", qt.Shards,
-		"shard_messages", qt.ShardMessages,
-		"shard_imbalance", qt.ShardImbalance,
-		"exchange_ms", ms(qt.PhaseNs(trace.KindExchange)),
-		"merge_ms", ms(qt.PhaseNs(trace.KindMerge)),
 	)
 }

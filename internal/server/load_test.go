@@ -24,19 +24,19 @@ func TestConcurrentLoad(t *testing.T) {
 	s := NewWithConfig(testEngine(t), cfg)
 
 	paths := []string{
-		"/search?q=xml+rdf+sql",         // cacheable, repeated → hits
-		"/search?q=xml+rdf+sql",         // identical: singleflight + cache
-		"/search?q=sparql+rdf",          // second entry
-		"/search?q=query+language&k=5",  // third entry
-		"/search?q=xml&variant=seq",     // different variant
-		"/search?q=zzzznothing",         // 422, never cached
-		"/search?q=xml&k=abc",           // 400 malformed
-		"/search?q=xml+rdf+sql&alpha=x", // 400 malformed
-		"/",                             // HTML index
-		"/?q=xml+rdf+sql",               // HTML with shared cache entry
-		"/stats",                        // read-only JSON
-		"/metrics",                      // exposition under load
-		"/healthz",                      //
+		"/v1/search?q=xml+rdf+sql",         // cacheable, repeated → hits
+		"/v1/search?q=xml+rdf+sql",         // identical: singleflight + cache
+		"/v1/search?q=sparql+rdf",          // second entry
+		"/v1/search?q=query+language&k=5",  // third entry
+		"/v1/search?q=xml&variant=seq",     // different variant
+		"/v1/search?q=zzzznothing",         // 422, never cached
+		"/v1/search?q=xml&k=abc",           // 400 malformed
+		"/v1/search?q=xml+rdf+sql&alpha=x", // 400 malformed
+		"/",                                // HTML index
+		"/?q=xml+rdf+sql",                  // HTML with shared cache entry
+		"/v1/stats",                        // read-only JSON
+		"/metrics",                         // exposition under load
+		"/healthz",                         //
 	}
 	allowed := map[int]bool{
 		http.StatusOK:                  true,
@@ -107,7 +107,7 @@ func TestConcurrentIdenticalQueriesSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			w := httptest.NewRecorder()
-			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/search?q=xml+rdf+sql&k=7", nil))
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/search?q=xml+rdf+sql&k=7", nil))
 			codes[i] = w.Code
 		}(i)
 	}
@@ -127,9 +127,9 @@ func TestConcurrentIdenticalQueriesSingleflight(t *testing.T) {
 	if misses > burst/2 {
 		t.Errorf("%d/%d engine searches for one identical burst; singleflight not deduplicating", misses, burst)
 	}
-	var resp SearchResponse
-	w := get(t, s, "/search?q=xml+rdf+sql&k=7")
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || !resp.Cached {
+	var resp V1SearchResponse
+	w := get(t, s, "/v1/search?q=xml+rdf+sql&k=7")
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Stats == nil || !resp.Stats.Cached {
 		t.Fatalf("follow-up not cached: %v %s", err, w.Body)
 	}
 }
@@ -141,7 +141,7 @@ func TestSequentialMixedWorkload(t *testing.T) {
 	s := testServer(t)
 	for round := 0; round < 3; round++ {
 		for k := 1; k <= 4; k++ {
-			w := get(t, s, fmt.Sprintf("/search?q=xml+rdf+sql&k=%d", k))
+			w := get(t, s, fmt.Sprintf("/v1/search?q=xml+rdf+sql&k=%d", k))
 			if w.Code != http.StatusOK {
 				t.Fatalf("round %d k=%d: %d %s", round, k, w.Code, w.Body)
 			}
@@ -155,7 +155,7 @@ func TestSequentialMixedWorkload(t *testing.T) {
 		}
 	}
 	s.PurgeCache()
-	if w := get(t, s, "/search?q=xml+rdf+sql&k=1"); w.Header().Get("X-Cache") != "MISS" {
+	if w := get(t, s, "/v1/search?q=xml+rdf+sql&k=1"); w.Header().Get("X-Cache") != "MISS" {
 		t.Fatal("purge left entries behind")
 	}
 }
@@ -175,7 +175,7 @@ func TestConcurrentLoadWithTinyDeadline(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				w := httptest.NewRecorder()
-				s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/search?q=xml+rdf+sql", nil))
+				s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/search?q=xml+rdf+sql", nil))
 				if w.Code != http.StatusGatewayTimeout && w.Code != http.StatusServiceUnavailable {
 					t.Errorf("status %d, want 504 or 503", w.Code)
 					return

@@ -37,12 +37,6 @@ type serverMetrics struct {
 	kbMappedBytes *metrics.Gauge      // live KB mapping size (0 unless mmap-loaded)
 	kbLoadMode    *metrics.CounterVec // 1 on the label of the load mode in use
 
-	shardMessages *metrics.Histogram // boundary activations exchanged per sharded query
-	shardExchange *metrics.Histogram // per-query frontier-exchange wall time
-	shardMerge    *metrics.Histogram // per-query global merge + absorb wall time
-	shardStall    *metrics.Histogram // slowest-shard stall per sharded query
-	shardImbal    *metrics.Histogram // max/mean shard busy-time ratio per query
-
 	slowQueries *metrics.Counter // searches over the slow-query threshold
 
 	epoch         *metrics.Gauge     // current search epoch id
@@ -101,21 +95,6 @@ func newServerMetrics() *serverMetrics {
 			"Bytes of the knowledge-base dump held in a live memory mapping (0 unless mmap-loaded)."),
 		kbLoadMode: r.CounterVec("wikisearch_kb_load_info",
 			"How the knowledge base got into memory: 1 on the mode in use (decode, mmap, read, memory).", "mode"),
-		shardMessages: r.Histogram("wikisearch_shard_exchange_messages",
-			"Cross-shard boundary activations exchanged by one sharded search.",
-			[]float64{0, 1, 8, 64, 512, 4096, 32768, 262144}),
-		shardExchange: r.Histogram("wikisearch_shard_exchange_seconds",
-			"Wall time one sharded search spent applying cross-shard frontier messages.",
-			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}),
-		shardMerge: r.Histogram("wikisearch_shard_merge_seconds",
-			"Wall time one sharded search spent in the global central merge and matrix absorption.",
-			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}),
-		shardStall: r.Histogram("wikisearch_shard_stall_seconds",
-			"Per-query wait the slowest shard imposed on the rest (max busy time minus mean).",
-			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}),
-		shardImbal: r.Histogram("wikisearch_shard_imbalance",
-			"Per-query shard busy-time imbalance: max/mean over shards (1 = perfectly balanced).",
-			[]float64{1, 1.1, 1.25, 1.5, 2, 3, 5, 10}),
 		slowQueries: r.Counter("wikisearch_slow_queries_total",
 			"Searches whose end-to-end engine time exceeded the slow-query threshold."),
 		epoch: r.Gauge("wikisearch_epoch",
@@ -186,13 +165,6 @@ func (m *serverMetrics) observeSearch(_ wikisearch.Query, res *wikisearch.Result
 	m.searchSeconds.Observe(res.Total.Seconds())
 	for phase, d := range res.Phases {
 		m.phaseSeconds.With(phase).Observe(d.Seconds())
-	}
-	if sh := res.Shard; sh != nil {
-		m.shardMessages.Observe(float64(sh.Messages))
-		m.shardExchange.Observe(sh.Exchange.Seconds())
-		m.shardMerge.Observe(sh.Merge.Seconds())
-		m.shardStall.Observe(sh.Stall.Seconds())
-		m.shardImbal.Observe(sh.Imbalance)
 	}
 }
 

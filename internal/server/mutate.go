@@ -96,7 +96,7 @@ type v1Envelope struct {
 
 // EnableMutation opens the engine's single-writer mutator and arms the
 // POST /v1/mutate endpoint. Call it once, before serving; it fails if the
-// engine cannot mutate (e.g. sharding is enabled). Every publication —
+// engine cannot mutate (e.g. another mutator is open). Every publication —
 // from this server or the background compactor — purges the query-result
 // cache and feeds the publish metrics.
 func (s *Server) EnableMutation(o wikisearch.MutatorOptions) error {

@@ -12,8 +12,6 @@
 //	POST /v1/mutate                                                     live graph mutations (envelope; 409 read_only unless enabled)
 //	GET  /v1/debug/traces                                               trace capture rings (envelope)
 //	GET  /v1/debug/trace?id=N | req=N [&format=chrome]                  one trace's span tree (envelope)
-//	GET  /search                                                        legacy answers payload (deprecated)
-//	GET  /stats                                                         legacy statistics (deprecated)
 //	GET  /metrics                                                       Prometheus text metrics
 //	GET  /healthz                                                       liveness
 //	GET  /                                                              minimal HTML page
@@ -25,9 +23,7 @@
 // conflict (mutation rejected by server or graph state),
 // 422 unprocessable (well-formed query the engine cannot answer),
 // 503 overloaded (admission control), 504 timeout (deadline overrun),
-// 500 internal (recovered panic). The unversioned routes predate the
-// envelope, keep their original payloads for existing clients, and are
-// deprecated in favor of /v1.
+// 500 internal (recovered panic).
 //
 // Concurrent searches that agree on the expansion-shaping knobs are
 // coalesced into one shared bottom-up expansion (Config.BatchWindow);
@@ -35,6 +31,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,6 +44,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -208,12 +206,8 @@ func NewWithConfig(eng *wikisearch.Engine, cfg Config) *Server {
 		"keyword search, versioned envelope")
 	s.handle("GET /v1/stats", s.instrument(http.HandlerFunc(s.handleV1Stats), false),
 		"dataset, epoch and mutation statistics, versioned envelope")
-	s.handle("GET /search", s.instrument(http.HandlerFunc(s.handleSearch), true),
-		"legacy answers payload (deprecated; use /v1/search)")
 	s.handle("GET /{$}", s.instrument(http.HandlerFunc(s.handleIndex), true),
 		"minimal HTML search page")
-	s.handle("GET /stats", s.instrument(http.HandlerFunc(s.handleStats), false),
-		"legacy statistics payload (deprecated; use /v1/stats)")
 	s.handle("GET /metrics", s.instrument(s.met.reg.Handler(), false),
 		"Prometheus text metrics")
 	s.handle("GET /v1/debug/traces", s.instrument(http.HandlerFunc(s.handleDebugTraces), false),
@@ -246,18 +240,7 @@ func (s *Server) PurgeCache() {
 	}
 }
 
-// SearchResponse is the /search payload.
-type SearchResponse struct {
-	Query      string          `json:"query"`
-	Terms      []string        `json:"terms"`
-	Depth      int             `json:"depth"`
-	Candidates int             `json:"candidates"`
-	TotalMs    float64         `json:"total_ms"`
-	Cached     bool            `json:"cached"`
-	Answers    []AnswerPayload `json:"answers"`
-}
-
-// AnswerPayload is one answer graph in the /search payload.
+// AnswerPayload is one answer graph in the /v1/search results.
 type AnswerPayload struct {
 	Central string        `json:"central"`
 	Score   float64       `json:"score"`
@@ -281,10 +264,11 @@ type EdgePayload struct {
 	Rel  string `json:"rel"`
 }
 
-// StatsResponse is the /stats payload. The load_* fields describe how the
-// KB dump got into memory (absent for engines built in memory rather than
-// loaded from a dump): load_mode "mmap" means the graph arrays are
-// zero-copy views into a live file mapping of mapped_bytes bytes.
+// StatsResponse is the stats block of the /v1/stats envelope. The load_*
+// fields describe how the KB dump got into memory (absent for engines built
+// in memory rather than loaded from a dump): load_mode "mmap" means the
+// graph arrays are zero-copy views into a live file mapping of mapped_bytes
+// bytes.
 type StatsResponse struct {
 	Dataset     string  `json:"dataset"`
 	Nodes       int     `json:"nodes"`
@@ -300,10 +284,6 @@ type StatsResponse struct {
 	// Mutation describes the live-mutation subsystem (absent on read-only
 	// servers).
 	Mutation *MutationPayload `json:"mutation,omitempty"`
-	// Sharding describes the sharded runtime's topology and cumulative
-	// serving totals, including the per-shard phase breakdown (absent when
-	// the engine serves solo).
-	Sharding *wikisearch.ShardStats `json:"sharding,omitempty"`
 }
 
 // MutationPayload is the mutation block of the stats payload: delta size
@@ -380,12 +360,12 @@ func (s *Server) search(ctx context.Context, q wikisearch.Query) (res *wikisearc
 	return res, hit, err
 }
 
-// parseSearchQuery builds a Query from the request's parameters, shared by
-// the legacy /search and the /v1/search handlers. The returned message is
-// empty on success and the client-facing description of the first problem
-// otherwise (always a 400). Type errors keep their dedicated messages;
-// range checks delegate to Query.Validate so the HTTP layer and the Go API
-// can never drift apart on what a legal query is.
+// parseSearchQuery builds a Query from the /v1/search request's
+// parameters. The returned message is empty on success and the
+// client-facing description of the first problem otherwise (always a 400).
+// Type errors keep their dedicated messages; range checks delegate to
+// Query.Validate so the HTTP layer and the Go API can never drift apart on
+// what a legal query is.
 func parseSearchQuery(r *http.Request) (wikisearch.Query, string) {
 	text := r.URL.Query().Get("q")
 	if text == "" {
@@ -432,8 +412,7 @@ func parseSearchQuery(r *http.Request) (wikisearch.Query, string) {
 	return q, ""
 }
 
-// answerPayloads converts a result's answer graphs to their JSON form,
-// shared by the legacy and the /v1 search payloads.
+// answerPayloads converts a result's answer graphs to their JSON form.
 func answerPayloads(res *wikisearch.Result) []AnswerPayload {
 	var out []AnswerPayload
 	for i := range res.Answers {
@@ -452,43 +431,8 @@ func answerPayloads(res *wikisearch.Result) []AnswerPayload {
 	return out
 }
 
-// deprecate stamps a legacy-route response with the RFC 9745 Deprecation
-// header and a Link to the /v1 successor.
-func deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "@1767225600") // 2026-01-01, the /v1 release
-	w.Header().Set("Link", `<`+successor+`>; rel="successor-version"`)
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/search")
-	q, msg := parseSearchQuery(r)
-	if msg != "" {
-		s.error(w, http.StatusBadRequest, msg)
-		return
-	}
-	res, hit, err := s.search(r.Context(), q)
-	if err != nil {
-		s.searchError(w, err)
-		return
-	}
-	if hit {
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		w.Header().Set("X-Cache", "MISS")
-	}
-	s.json(w, http.StatusOK, SearchResponse{
-		Query:      q.Text,
-		Terms:      res.Terms,
-		Depth:      res.Depth,
-		Candidates: res.Candidates,
-		TotalMs:    float64(res.Total) / float64(time.Millisecond),
-		Cached:     hit,
-		Answers:    answerPayloads(res),
-	})
-}
-
-// handleV1Search serves the versioned search endpoint: same parameters as
-// the legacy route, stable envelope out.
+// handleV1Search serves the versioned search endpoint: query parameters in,
+// stable envelope out.
 func (s *Server) handleV1Search(w http.ResponseWriter, r *http.Request) {
 	q, msg := parseSearchQuery(r)
 	if msg != "" {
@@ -527,22 +471,9 @@ func (s *Server) handleV1Stats(w http.ResponseWriter, _ *http.Request) {
 	s.json(w, http.StatusOK, V1StatsResponse{Stats: &st})
 }
 
-// searchError maps a Search error to the right legacy response: deadline
+// v1SearchError maps a Search error to the versioned envelope: deadline
 // overruns are the server's fault (504), a vanished client gets no
 // response at all, and everything else is an unprocessable query (422).
-func (s *Server) searchError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.Canceled):
-		s.met.clientGone.Inc() // client gone; drop the write
-	case errors.Is(err, context.DeadlineExceeded):
-		s.met.timeouts.Inc()
-		s.error(w, http.StatusGatewayTimeout, "search deadline exceeded")
-	default:
-		s.error(w, http.StatusUnprocessableEntity, err.Error())
-	}
-}
-
-// v1SearchError is searchError for the versioned envelope.
 func (s *Server) v1SearchError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -555,7 +486,7 @@ func (s *Server) v1SearchError(w http.ResponseWriter, err error) {
 	}
 }
 
-// statsResponse assembles the shared /stats and /v1/stats payload.
+// statsResponse assembles the /v1/stats payload.
 func (s *Server) statsResponse() StatsResponse {
 	info := s.eng.LoadInfo()
 	resp := StatsResponse{
@@ -568,9 +499,6 @@ func (s *Server) statsResponse() StatsResponse {
 		LoadMode:    info.Mode,
 		MappedBytes: info.MappedBytes,
 		Epoch:       s.eng.Epoch(),
-	}
-	if st, ok := s.eng.ShardStats(); ok {
-		resp.Sharding = &st
 	}
 	if s.mut != nil {
 		ms := s.mut.Stats()
@@ -589,11 +517,6 @@ func (s *Server) statsResponse() StatsResponse {
 	return resp
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	deprecate(w, "/v1/stats")
-	s.json(w, http.StatusOK, s.statsResponse())
-}
-
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -604,7 +527,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if q == "" {
 		return
 	}
-	// Defaults match /search's, so both endpoints share cache entries.
+	// Defaults match /v1/search's, so both endpoints share cache entries.
 	res, _, err := s.search(r.Context(), wikisearch.Query{
 		Text: q, TopK: 20, Alpha: 0.1, Lambda: 0.2, Variant: wikisearch.CPUPar,
 	})
@@ -643,12 +566,33 @@ func renderAnswers(w io.Writer, res *wikisearch.Result) {
 	fmt.Fprint(w, "</ol>")
 }
 
+// jsonBuf is one response body being encoded. It is pooled so the
+// encoder's indent buffer is reused: indenting is most of the bytes a cache
+// hit would otherwise allocate, and on the cache-hit path that allocation
+// rate sets how often the GC runs.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	jb := &jsonBuf{}
+	jb.enc = json.NewEncoder(&jb.buf)
+	jb.enc.SetIndent("", "  ")
+	return jb
+}}
+
 func (s *Server) json(w http.ResponseWriter, code int, v any) {
+	jb := jsonBufs.Get().(*jsonBuf)
+	defer jsonBufs.Put(jb)
+	jb.buf.Reset()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	err := jb.enc.Encode(v)
+	if err == nil {
+		_, err = w.Write(jb.buf.Bytes())
+	}
+	if err != nil {
 		s.log.Printf("server: encode: %v", err)
 	}
 }

@@ -97,30 +97,6 @@ func TestV1StatsGolden(t *testing.T) {
 	checkGolden(t, "v1_stats.json", normalizeJSON(t, w.Body.Bytes(), "avg_distance"))
 }
 
-// TestV1SearchMatchesLegacy: both routes run the same parse and the same
-// engine call; only the envelope differs.
-func TestV1SearchMatchesLegacy(t *testing.T) {
-	s := testServer(t)
-	legacy := get(t, s, "/search?q=xml+rdf+sql&k=3")
-	var lr SearchResponse
-	if err := json.Unmarshal(legacy.Body.Bytes(), &lr); err != nil {
-		t.Fatal(err)
-	}
-	v1 := get(t, s, "/v1/search?q=xml+rdf+sql&k=3")
-	var vr V1SearchResponse
-	if err := json.Unmarshal(v1.Body.Bytes(), &vr); err != nil {
-		t.Fatal(err)
-	}
-	if vr.Error != nil || vr.Stats == nil {
-		t.Fatalf("v1 envelope: %+v", vr)
-	}
-	if len(vr.Results) != len(lr.Answers) || vr.Stats.Depth != lr.Depth ||
-		vr.Stats.Candidates != lr.Candidates ||
-		strings.Join(vr.Stats.Terms, " ") != strings.Join(lr.Terms, " ") {
-		t.Fatalf("v1 disagrees with legacy:\nv1 %+v\nlegacy %+v", vr, lr)
-	}
-}
-
 // TestV1ErrorStatuses walks the error contract: every failure mode answers
 // with the documented status and stable error code.
 func TestV1ErrorStatuses(t *testing.T) {
@@ -206,7 +182,7 @@ func TestV1Overloaded(t *testing.T) {
 }
 
 // TestV1PanicEnvelope: a recovered panic on a versioned route answers with
-// the envelope, not the legacy plain-text 500.
+// the envelope, not a plain-text 500.
 func TestV1PanicEnvelope(t *testing.T) {
 	s := testServer(t)
 	h := s.instrument(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {

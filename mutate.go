@@ -95,8 +95,7 @@ type MutationStats struct {
 // pinned search drains.
 //
 // At most one Mutator may be open per engine (all methods are serialized by
-// an internal lock; readers go through published epoch snapshots only), and
-// mutation is mutually exclusive with sharding (EnableSharding).
+// an internal lock; readers go through published epoch snapshots only).
 type Mutator struct {
 	eng *Engine
 	opt MutatorOptions
@@ -148,10 +147,6 @@ func (e *Engine) NewMutator(o MutatorOptions) (*Mutator, error) {
 	if e.mut != nil {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("wikisearch: a mutator is already open")
-	}
-	if e.sharding.Load() != nil {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("wikisearch: cannot open a mutator while sharding is enabled")
 	}
 	// Reserve the slot before the (possibly slow) inline compaction below.
 	m := &Mutator{
@@ -360,9 +355,6 @@ func (m *Mutator) Publish() (PublishInfo, error) {
 	m.publishedOps = len(m.oplog)
 	m.rwDirty = false
 	m.publishes++
-	// A published graph change invalidates warm shard partitions cached for
-	// the pre-mutation graph.
-	m.eng.closeShardCache()
 	m.eng.notifyPublish(info)
 	if m.opt.CompactAfterOps > 0 && len(m.oplog) >= m.opt.CompactAfterOps {
 		select {
@@ -406,7 +398,6 @@ func (m *Mutator) Compact() (PublishInfo, error) {
 	m.publishes++
 	m.compactions++
 	info.Duration = time.Since(start)
-	m.eng.closeShardCache()
 	m.mu.Unlock()
 
 	// Outside the writer lock: draining depends only on searches unpinning.

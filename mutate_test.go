@@ -435,23 +435,14 @@ func TestMutateReplay(t *testing.T) {
 	}
 }
 
-// TestMutateShardingExclusion: mutation and sharding are mutually exclusive.
-func TestMutateShardingExclusion(t *testing.T) {
+// TestMutatorSingleWriter: at most one mutator is open per engine, and a
+// closed mutator rejects further ops while freeing the slot for a new one.
+func TestMutatorSingleWriter(t *testing.T) {
 	eng := newTestEngine(t)
 	defer eng.Close()
-	if err := eng.EnableSharding(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.NewMutator(MutatorOptions{}); err == nil {
-		t.Fatal("mutator opened while sharding enabled")
-	}
-	eng.DisableSharding()
 	m, err := eng.NewMutator(MutatorOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := eng.EnableSharding(2); err == nil {
-		t.Fatal("sharding enabled while mutator open")
 	}
 	if _, err := eng.NewMutator(MutatorOptions{}); err == nil {
 		t.Fatal("second mutator opened")
@@ -459,12 +450,15 @@ func TestMutateShardingExclusion(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.EnableSharding(2); err != nil {
-		t.Fatalf("sharding after mutator close: %v", err)
-	}
-	eng.DisableSharding()
 	if _, err := m.AddNode("x", ""); err == nil {
 		t.Fatal("closed mutator accepted a mutation")
+	}
+	m2, err := eng.NewMutator(MutatorOptions{})
+	if err != nil {
+		t.Fatalf("mutator after close: %v", err)
+	}
+	if err := m2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -181,9 +181,6 @@ type Result struct {
 	GST *GSTResult
 	// Banks holds the BANKS variant's trees (nil otherwise).
 	Banks *BanksResult
-	// Shard describes the sharded execution when the search ran on the
-	// sharded runtime (EnableSharding); nil on the solo path.
-	Shard *ShardInfo
 }
 
 // Search answers a keyword query; it is the engine's single entry point for
@@ -224,9 +221,6 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (*Result, error) {
 	in, terms, err := sn.prepare(q.Text)
 	if err != nil {
 		return nil, err
-	}
-	if co := e.sharding.Load(); co != nil && shardEligible(q.Variant) {
-		return e.runSharded(ctx, co, ep, q, in, terms, start)
 	}
 	if b := e.batcher.Load(); b != nil && b.eligible(q, len(terms)) {
 		return b.do(ctx, ep, q, in, terms, start)
@@ -357,12 +351,8 @@ func (sn *snapshot) resolve(terms []string, res *core.Result, transfer float64) 
 		Total:           res.Profile.Total(),
 		TransferSeconds: transfer,
 	}
-	for ph := core.Phase(0); int(ph) < len(res.Profile.Phases); ph++ {
-		// The sharded-only phases (exchange, merge) appear only when a
-		// sharded run spent time in them, so solo responses are unchanged.
-		if d := res.Profile.Phases[ph]; d > 0 || ph <= core.PhaseTopDown {
-			out.Phases[ph.String()] = d
-		}
+	for ph, d := range res.Profile.Phases {
+		out.Phases[core.Phase(ph).String()] = d
 	}
 	for _, a := range res.Answers {
 		pa := Answer{
